@@ -31,12 +31,12 @@ class Binary:
         """This binary's :class:`~repro.isa.descriptor.IsaDescriptor`."""
         return isa_registry.get(self.isa)
 
-    def interpreter(self, collect_trace=False, compiled=None):
+    def interpreter(self, collect_trace=False, compiled=True):
         """This binary's functional simulator.
 
-        ``compiled`` forces the threaded-code fast path on (``True``), off
-        (``False``) or leaves the interpreter's default policy (``None`` —
-        on unless ``STRAIGHT_FASTPATH=0`` or the program is incompatible).
+        A trace-free interpreter runs whole compiled blocks
+        (:mod:`repro.fastpath`) unless ``compiled=False`` or the program is
+        incompatible; a trace-collecting one always steps ``step_op``.
         """
         return self.descriptor.make_interpreter(
             self.program, collect_trace=collect_trace, compiled=compiled
@@ -113,7 +113,7 @@ class SimulationResult:
 
 
 def run_functional(binary, max_steps=50_000_000, collect_trace=False,
-                   compiled=None):
+                   compiled=True):
     """Execute a binary on its ISA's functional simulator."""
     interp = binary.interpreter(collect_trace=collect_trace,
                                 compiled=compiled)

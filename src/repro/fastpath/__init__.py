@@ -23,16 +23,15 @@ technique, done with textual codegen + ``exec``):
   first-occurrence order the baseline produces, so the final statistics
   dicts are identical — iteration order included.
 
-Two function sets are generated per program and memoized on the program
-object (one compile per linked binary, like pre-decode itself):
-
-* **block functions** — trace-less whole-block execution, used by
-  ``run(collect_trace=False)`` and the sampled-simulation fast-forward;
-* **per-op handlers** — single-instruction execution with full
-  ``TraceEntry`` support, used for trace collection, for ``step()`` (so the
-  lockstep golden machine exercises the same generated code it guards) and
-  for landing exactly on ``max_steps``/window boundaries or on a computed
-  jump target inside a block.
+One block function per basic block is generated per linked binary and
+memoized by program (one compile per binary, like pre-decode itself).  The
+blocks serve trace-free runs only — ``run(collect_trace=False)`` and the
+sampled-simulation fast-forward.  A traced run spends most of its time
+building ``TraceEntry`` records, which compiled code cannot make cheaper,
+so traced runs, ``step()``, the lockstep golden machine and the odd
+instruction before a ``max_steps`` boundary or after a computed jump into
+a block's middle all execute the interpreter's own ``step_op``.  An
+interpreter built to collect a trace never compiles.
 
 Architectural state is bit-identical to the baseline interpreter loop on
 every run that completes without a :class:`SimulationError`.  On error
@@ -41,34 +40,26 @@ bookkeeping batching means partially-executed blocks leave statistics
 dicts behind the baseline's — acceptable because erroring programs are
 compiler bugs by definition and nothing asserts statistics after a crash.
 
-``STRAIGHT_FASTPATH=0`` in the environment disables the whole subsystem
-(every interpreter falls back to the baseline ``step_op`` loop), and each
-interpreter accepts ``compiled=True/False/None`` to override per instance.
+Each interpreter takes ``compiled=False`` to run the baseline ``step_op``
+loop instead — the reference the bit-identity tests compare against.
 """
 
-import os
+import weakref
 
 from repro.common.errors import SimulationError
 
 __all__ = [
-    "enabled",
     "compiled_for",
     "run_compiled",
     "run_compiled_warming",
     "CompiledProgram",
 ]
 
-
-def enabled(default=True):
-    """Whether the compiled fast path is globally enabled.
-
-    ``STRAIGHT_FASTPATH=0`` (or ``off``/``false``) disables it — the
-    escape hatch for benchmarking the baseline and for debugging.
-    """
-    value = os.environ.get("STRAIGHT_FASTPATH")
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "off", "false", "no")
+#: program -> its :class:`CompiledProgram`.  Kept off the program object so
+#: builds stay picklable for the artifact cache (generated functions are
+#: not); the compiled unit never refers back to its program, so an entry
+#: dies with the program it belongs to.
+_compiled = weakref.WeakKeyDictionary()
 
 
 def compiled_for(program, isa):
@@ -80,7 +71,7 @@ def compiled_for(program, isa):
     compiled unit is static (it holds no run state), so every interpreter
     over the same linked binary shares one compile.
     """
-    cached = getattr(program, "_fastpath_compiled", None)
+    cached = _compiled.get(program)
     if cached is not None and cached.n == len(program.instrs):
         return cached
     if isa == "straight":
@@ -88,35 +79,25 @@ def compiled_for(program, isa):
     else:
         from repro.fastpath.riscv_gen import compile_program
     compiled = compile_program(program)
-    program._fastpath_compiled = compiled
+    _compiled[program] = compiled
     return compiled
 
 
 def run_compiled(it, max_steps):
-    """Drive interpreter ``it`` through its compiled program.
+    """Drive trace-free interpreter ``it`` through its compiled blocks.
 
-    Trace-less runs execute whole blocks; trace-collecting runs and the
-    final instructions before ``max_steps`` go through the per-op handlers
-    so the step count is exact.  A computed jump landing mid-block (``JR``/
-    ``JALR`` to a non-leader) single-steps until the next block boundary.
-    Returns the number of instructions executed.
+    A block that would overrun ``max_steps``, and a computed jump (``JR``/
+    ``JALR``) landing mid-block, single-step through ``step_op`` until the
+    step count is exact or the next block boundary is reached.  Returns the
+    number of instructions executed.
     """
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
-    handlers = fast.op_handlers
+    decoded = it.decoded
+    step_op = it.step_op
     n = fast.n
     steps = 0
-    if it.collect_trace:
-        while not it.halted and steps < max_steps:
-            index = it.pc_index
-            if not 0 <= index < n:
-                raise SimulationError(
-                    f"pc out of text segment: {it._pc():#x}"
-                )
-            handlers[index](it)
-            steps += 1
-        return steps
     while not it.halted and steps < max_steps:
         index = it.pc_index
         if not 0 <= index < n:
@@ -126,7 +107,7 @@ def run_compiled(it, max_steps):
             fn(it)
             steps += lens[index]
         else:
-            handlers[index](it)
+            step_op(decoded[index])
             steps += 1
     return steps
 
@@ -134,8 +115,8 @@ def run_compiled(it, max_steps):
 def run_compiled_warming(it, max_steps, note):
     """Trace-less compiled run that reports every control transfer.
 
-    The sampled-simulation fast-forward path: identical to the trace-less
-    loop of :func:`run_compiled`, plus one ``note(term, next_index)`` call
+    The sampled-simulation fast-forward path: identical to
+    :func:`run_compiled`, plus one ``note(term, next_index)`` call
     per executed branch/jump, where ``term`` is the
     :data:`CompiledProgram.term_at` descriptor.  The sampling runner feeds
     these into the branch predictor, BTB and RAS (functional warming) so
@@ -145,7 +126,8 @@ def run_compiled_warming(it, max_steps, note):
     fast = it._fast
     blocks = fast.block_funcs
     lens = fast.block_lens
-    handlers = fast.op_handlers
+    decoded = it.decoded
+    step_op = it.step_op
     term_at = fast.term_at
     n = fast.n
     steps = 0
@@ -159,7 +141,7 @@ def run_compiled_warming(it, max_steps, note):
             steps += lens[index]
             term = term_at[index + lens[index] - 1]
         else:
-            handlers[index](it)
+            step_op(decoded[index])
             steps += 1
             term = term_at[index]
         if term is not None:

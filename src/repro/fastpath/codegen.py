@@ -2,14 +2,13 @@
 
 Both ISA generators (:mod:`repro.fastpath.straight_gen`,
 :mod:`repro.fastpath.riscv_gen`) emit one Python module's worth of source
-text per linked binary — a block function per basic block plus a per-op
-handler per instruction — and ``exec`` it once against a small namespace
-of pre-bound helpers.  This module owns the pieces that are identical on
-both sides:
+text per linked binary — one function per basic block — and ``exec`` it
+once against a small namespace of pre-bound helpers.  This module owns the
+pieces that are identical on both sides:
 
 * :class:`SourceWriter` — indentation-tracking line buffer;
 * :class:`CompiledProgram` — the compiled artifact the dispatch driver
-  consumes (dense block/handler tables);
+  consumes (dense block tables);
 * the inline 32-bit ALU/compare expression templates, textually mirroring
   :func:`repro.ir.passes.constfold.eval_binop` / ``eval_icmp`` exactly —
   divide/remainder keep their subtle corner semantics (including the
@@ -22,7 +21,7 @@ both sides:
 from functools import partial
 
 from repro.common.errors import SimulationError
-from repro.common.trace import TraceEntry
+from repro.common.layout import WORD_BYTES
 from repro.ir.passes.constfold import eval_binop
 
 MASK = "4294967295"   # 0xFFFF_FFFF
@@ -32,18 +31,14 @@ SIGN = 2147483648     # 0x8000_0000
 class CompiledProgram:
     """The compiled fast path of one linked binary (static, shareable)."""
 
-    __slots__ = ("n", "block_funcs", "block_lens", "op_handlers", "min_mrp",
-                 "block_ranges", "term_at")
+    __slots__ = ("n", "block_funcs", "block_lens", "min_mrp", "term_at")
 
-    def __init__(self, n, block_funcs, block_lens, op_handlers, min_mrp=0,
-                 block_ranges=(), term_at=()):
+    def __init__(self, n, block_funcs, block_lens, min_mrp=0, term_at=()):
         self.n = n
         #: Dense tables indexed by instruction index: a block function (and
         #: its length) at each leader, None/0 elsewhere.
         self.block_funcs = block_funcs
         self.block_lens = block_lens
-        #: One single-instruction handler per index (trace-capable).
-        self.op_handlers = op_handlers
         #: Smallest ``max_rp`` the intra-block forwarding is valid for
         #: (STRAIGHT only): a forwarded distance ``d`` reads the producer's
         #: local, which matches the register file only while no later
@@ -51,7 +46,6 @@ class CompiledProgram:
         #: ``max_rp >= d``.  Interpreters with a smaller circular file fall
         #: back to the baseline loop.
         self.min_mrp = min_mrp
-        self.block_ranges = block_ranges
         #: Control-flow descriptors indexed by instruction index —
         #: ``(pc, is_conditional, is_call, is_return, fallthrough_index)``
         #: at every branch/jump, None elsewhere.  Sampled simulation uses
@@ -127,12 +121,13 @@ def raise_unknown_ecall(service, pc):
     raise SimulationError(f"pc={pc:#x}: unknown ecall {service}")
 
 
-def base_namespace(program):
-    """The helper bindings shared by both ISA generators."""
+def base_namespace():
+    """The helper bindings shared by both ISA generators.
+
+    Nothing here refers to the program, so the compiled unit holds no
+    reference back to it (see :func:`repro.fastpath.compiled_for`).
+    """
     return {
-        "_TE": TraceEntry,
-        "_iop": program.index_of_pc,
-        "_tb": program.text_base,
         "_neg": raise_neg_distance,
         "_stale": raise_stale,
         "_mis": raise_misaligned,
@@ -142,6 +137,11 @@ def base_namespace(program):
         "_srem": partial(eval_binop, "srem"),
         "_urem": partial(eval_binop, "urem"),
     }
+
+
+def index_of_pc_expr(pc, text_base):
+    """Inline ``program.index_of_pc(pc)``; ``pc`` is a simple expression."""
+    return f"({pc} - {text_base}) // {WORD_BYTES}"
 
 
 def compile_namespace(source, namespace, tag):

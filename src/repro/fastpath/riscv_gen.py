@@ -15,10 +15,10 @@ branch) never round-trip the register file — the superinstruction effect.
 generated instructions.
 
 Bit-identity contract: identical to the STRAIGHT generator — architectural
-state, output channel, trace entries and statistics dicts (insertion order
-included) match the baseline ``step_op`` loop on every non-erroring run;
-error paths raise the same exceptions with statistics batching as the only
-observable difference.
+state, output channel and statistics dicts (insertion order included) match
+the baseline ``step_op`` loop on every non-erroring run; error paths raise
+the same exceptions with statistics batching as the only observable
+difference.  Traced runs never reach this code: they use ``step_op``.
 """
 
 from repro.fastpath.blocks import partition
@@ -32,6 +32,7 @@ from repro.fastpath.codegen import (
     control_descriptors,
     icmp_cond,
     icmp_expr,
+    index_of_pc_expr,
 )
 from repro.riscv.linker import ECALL_EXIT, ECALL_OUT
 from repro.riscv.predecode import (
@@ -73,13 +74,13 @@ def _addr_expr(w, fwd, rs1, imm):
         w.line(f"_a = ({base} + {imm}) & {MASK}")
 
 
-def _emit_op(w, fwd, op, k, pc):
-    """Emit one op's computation; returns (value_expr, bool_name, mem)."""
+def _emit_op(w, fwd, op, k, text_base):
+    """Emit one op's computation; returns (value_expr, bool_name)."""
     kind = op.kind
     m = op.mnemonic
+    pc = op.pc
     value = None
     cond_name = None
-    mem_addr = None
     if kind == RK_ALU or kind == RK_ALU_IMM:
         if kind == RK_ALU:
             _, rs1, rs2 = op.operand
@@ -88,7 +89,7 @@ def _emit_op(w, fwd, op, k, pc):
             _, rs1, b = op.operand  # pre-wrapped immediate
             a = _read(fwd, rs1)
         if op.dest is None:
-            return None, None, None  # pure compute into x0: nothing observable
+            return None, None  # pure compute into x0: nothing observable
         name = _R_BINOPS.get(m) or _I_BINOPS.get(m)
         if name is not None:
             expr = binop_expr(name, a, b)
@@ -112,7 +113,6 @@ def _emit_op(w, fwd, op, k, pc):
         w.indent()
         w.line(f"_mis('load', _a, {pc})")
         w.dedent()
-        mem_addr = "_a"
         if op.dest is not None:
             w.line(f"v{k} = mem.get(_a >> 2, 0)")
             value = f"v{k}"
@@ -124,7 +124,6 @@ def _emit_op(w, fwd, op, k, pc):
         w.line(f"_mis('store', _a, {pc})")
         w.dedent()
         w.line(f"mem[_a >> 2] = {_read(fwd, rs2)}")
-        mem_addr = "_a"
     elif kind == RK_BRANCH:
         _, rs1, rs2 = op.operand
         pred = _BRANCH_PREDS[m]
@@ -139,7 +138,7 @@ def _emit_op(w, fwd, op, k, pc):
             w.line(f"_tp = {base} & 4294967294")
         else:
             w.line(f"_tp = ({base} + {imm}) & 4294967294")
-        w.line("_ni = _iop(_tp)")
+        w.line(f"_ni = {index_of_pc_expr('_tp', text_base)}")
         value = link if op.dest is not None else None
     elif kind == RK_ECALL:
         w.line(f"_svc = {_read(fwd, 17)}")
@@ -160,7 +159,7 @@ def _emit_op(w, fwd, op, k, pc):
         pass  # block header: decode-stage marker, no architectural effect
     else:  # pragma: no cover - closed opcode table
         raise ValueError(f"unimplemented kind {kind} ({m})")
-    return value, cond_name, mem_addr
+    return value, cond_name
 
 
 def _write_dest(w, fwd, op, value):
@@ -180,22 +179,18 @@ def _write_dest(w, fwd, op, value):
         fwd.pop(op.dest, None)
 
 
-def _block_prologue(w, ops, name):
-    w.line(f"def {name}(it):")
+def _emit_block(w, decoded, start, end, text_base):
+    ops = decoded[start:end]
+    w.line(f"def _b{start}(it):")
     w.indent()
     w.line("regs = it.regs")
     if any(op.kind in _MEM_KINDS for op in ops):
         w.line("mem = it.memory")
-
-
-def _emit_block(w, decoded, start, end):
-    ops = decoded[start:end]
-    _block_prologue(w, ops, f"_b{start}")
     fwd = {}
     counts = {}
     last_cond = None
     for k, op in enumerate(ops):
-        value, cond_name, _ = _emit_op(w, fwd, op, k, op.pc)
+        value, cond_name = _emit_op(w, fwd, op, k, text_base)
         _write_dest(w, fwd, op, value)
         counts[op.mnemonic] = counts.get(op.mnemonic, 0) + 1
         last_cond = cond_name
@@ -223,64 +218,6 @@ def _emit_block(w, decoded, start, end):
     w.line()
 
 
-def _emit_handler(w, op):
-    i = op.index
-    pc = op.pc
-    kind = op.kind
-    _block_prologue(w, (op,), f"_h{i}")
-    fwd = {}  # handlers never forward: they read the live register file
-    value, cond_name, mem_addr = _emit_op(w, fwd, op, 0, pc)
-    taken = "False"
-    target_pc = "None"
-    next_index = str(i + 1)
-    next_pc = str(pc + 4)
-    is_call = "False"
-    is_return = "False"
-    if kind == RK_BRANCH:
-        taken = cond_name
-        target_pc = str(op.target_pc)
-        next_index = f"({op.target_index} if {cond_name} else {i + 1})"
-        next_pc = f"({op.target_pc} if {cond_name} else {pc + 4})"
-    elif kind == RK_JAL:
-        taken = "True"
-        target_pc = str(op.target_pc)
-        next_index = str(op.target_index)
-        next_pc = str(op.target_pc)
-        is_call = str(bool(op.operand[1]))
-    elif kind == RK_JALR:
-        taken = "True"
-        target_pc = "_tp"
-        next_index = "_ni"
-        next_pc = "(_tb + _ni * 4)"
-        is_call = str(bool(op.operand[3]))
-        is_return = str(bool(op.operand[4]))
-    _write_dest(w, {}, op, value)
-    mnemonic = op.mnemonic
-    w.line("_mc = it.mnemonic_counts")
-    w.line(f"_mc[{mnemonic!r}] = _mc.get({mnemonic!r}, 0) + 1")
-    if op.dest is not None:
-        dest_value = value if value is not None else f"regs[{op.dest}]"
-    elif kind == RK_STORE:
-        dest_value = _read({}, op.operand[1])  # the stored (wrapped) word
-    else:
-        dest_value = "None"
-    w.line("if it.collect_trace:")
-    w.indent()
-    w.line("it.trace.append(_TE(")
-    w.indent()
-    w.line(f"pc={pc}, op_class={op.op_class!r}, mnemonic={mnemonic!r},")
-    w.line(f"dest={op.dest}, srcs={tuple(op.srcs)!r}, taken={taken},")
-    w.line(f"target_pc={target_pc}, next_pc={next_pc},")
-    w.line(f"mem_addr={mem_addr or 'None'},")
-    w.line(f"is_call={is_call}, is_return={is_return},")
-    w.line(f"dest_value={dest_value}))")
-    w.dedent()
-    w.dedent()
-    w.line(f"it.pc_index = {next_index}")
-    w.dedent()
-    w.line()
-
-
 def compile_program(program):
     """Compile ``program`` into a :class:`CompiledProgram` (one exec)."""
     decoded = decode_program(program)
@@ -288,22 +225,16 @@ def compile_program(program):
     ranges = partition(decoded, TERMINATORS)
     w = SourceWriter()
     for start, end in ranges:
-        _emit_block(w, decoded, start, end)
-    for op in decoded:
-        _emit_handler(w, op)
-    namespace = base_namespace(program)
+        _emit_block(w, decoded, start, end, program.text_base)
+    namespace = base_namespace()
     compile_namespace(w.text(), namespace, f"riscv:{program.text_base:#x}")
     block_funcs = [None] * n
     block_lens = [0] * n
     for start, end in ranges:
         block_funcs[start] = namespace[f"_b{start}"]
         block_lens[start] = end - start
-    handlers = [namespace[f"_h{op.index}"] for op in decoded]
     term_at = control_descriptors(decoded, _call_return)
-    return CompiledProgram(
-        n, block_funcs, block_lens, handlers,
-        min_mrp=0, block_ranges=tuple(ranges), term_at=term_at,
-    )
+    return CompiledProgram(n, block_funcs, block_lens, term_at=term_at)
 
 
 def _call_return(op):

@@ -1,12 +1,10 @@
 """STRAIGHT block compiler: DecodedOp arrays -> specialized Python closures.
 
 Generates, per linked STRAIGHT binary, one module of Python source holding
-
-* ``_b{start}`` — a function per basic block executing the whole block
-  trace-less (the ``run(collect_trace=False)`` / fast-forward hot path);
-* ``_h{index}`` — a function per instruction executing exactly one op with
-  full ``TraceEntry`` support (trace runs, ``step()``, lockstep golden,
-  boundary landing).
+``_b{start}``, a function per basic block that executes the whole block
+without collecting a trace (the ``run(collect_trace=False)`` /
+fast-forward hot path).  Everything else — traced runs, ``step()``, the
+lockstep golden, landing mid-block — is the interpreter's own ``step_op``.
 
 The generated code preserves the baseline interpreter's semantics exactly:
 
@@ -43,6 +41,7 @@ from repro.fastpath.codegen import (
     compile_namespace,
     control_descriptors,
     icmp_cond,
+    index_of_pc_expr,
 )
 from repro.straight.predecode import (
     _ALU_BINOPS,
@@ -86,55 +85,44 @@ class _BlockState:
         self.max_forward = 0
 
 
-def _read_source(w, state, op, k, slot, distance, checked):
-    """Emit one source read; returns its value expression.
+def _read_source(w, state, op, k, slot, distance):
+    """Emit one source read of the op at offset ``k``; returns its value.
 
-    ``k`` is the op's offset in the block (0 for handlers, which pass
-    ``checked='handler'`` to get inline histogram updates and producer
-    locals for the trace).  Distance histogram updates are batched into
-    ``state.hist`` for blocks and emitted inline for handlers.
+    Intra-block producers are forwarded through their locals; the distance
+    histogram bump is batched into ``state.hist``.
     """
     if distance == 0:
         return 0
-    handler = checked == "handler"
-    if not handler:
-        state.hist[distance] = state.hist.get(distance, 0) + 1
-        back = distance - k
-        if back <= 0:
-            # Intra-block producer: forward its value through the local.
-            state.max_forward = max(state.max_forward, distance)
-            return state.values[k - distance]
+    state.hist[distance] = state.hist.get(distance, 0) + 1
+    back = distance - k
+    if back <= 0:
+        # Intra-block producer: forward its value through the local.
+        state.max_forward = max(state.max_forward, distance)
+        return state.values[k - distance]
     pc = op.pc
     name = f"a{k}_{slot}"
-    prod = f"_p{slot}" if handler else "_p"
-    reg = "_q"
-    w.line(f"{prod} = seq - {distance if handler else distance - k}")
-    w.line(f"if {prod} < 0:")
+    w.line(f"_p = seq - {back}")
+    w.line("if _p < 0:")
     w.indent()
     w.line(f"_neg(it, {distance}, {pc})")
     w.dedent()
-    w.line(f"{reg} = {prod} % mrp")
-    w.line(f"if chk and ws[{reg}] != {prod}:")
+    w.line("_q = _p % mrp")
+    w.line("if chk and ws[_q] != _p:")
     w.indent()
-    w.line(f"_stale(it, {distance}, {prod}, {reg}, {pc})")
+    w.line(f"_stale(it, {distance}, _p, _q, {pc})")
     w.dedent()
-    if handler:
-        w.line(f"_dh[{distance}] = _dh.get({distance}, 0) + 1")
-    w.line(f"{name} = regs[{reg}]")
+    w.line(f"{name} = regs[_q]")
     return name
 
 
 def _emit_value(w, state, op, k, srcs):
-    """Emit the op's computation; returns (value_expr, extra_trace_fields).
+    """Emit the op's computation; returns the destination value expression.
 
-    ``value_expr`` is what gets written to the destination register (an
-    int literal or an assigned-once local/source name, always a wrapped
-    word).  ``extra_trace_fields`` carries the handler-only trace pieces
-    (memory address local, etc.).
+    The value is what gets written to the destination register: an int
+    literal or an assigned-once local/source name, always a wrapped word.
     """
     kind = op.kind
     pc = op.pc
-    mem_addr = None
     if kind == K_ALU:
         name = _ALU_BINOPS[op.mnemonic]
         w.line(f"v{k} = {binop_expr(name, srcs[0], srcs[1])}")
@@ -167,7 +155,6 @@ def _emit_value(w, state, op, k, srcs):
         w.dedent()
         w.line(f"v{k} = mem.get(_a >> 2, 0)")
         value = f"v{k}"
-        mem_addr = "_a"
     elif kind == K_STORE:
         offset = op.operand
         if offset == 0:
@@ -180,7 +167,6 @@ def _emit_value(w, state, op, k, srcs):
         w.dedent()
         w.line(f"mem[_a >> 2] = {srcs[0]}")
         value = srcs[0]  # "store value is returned" (paper §III-A)
-        mem_addr = "_a"
     elif kind == K_RMOV:
         value = srcs[0]
     elif kind == K_LUI:
@@ -199,7 +185,7 @@ def _emit_value(w, state, op, k, srcs):
         value = 0
     else:  # K_BEZ / K_BNZ / K_JUMP / K_RET / K_NOP write zero
         value = 0
-    return value, mem_addr
+    return value
 
 
 def _emit_dest(w, k, value):
@@ -242,7 +228,7 @@ def _branch_condition(state, op, k, src_expr):
     return f"{src_expr} {test} 0"
 
 
-def _emit_block(w, decoded, start, end):
+def _emit_block(w, decoded, start, end, text_base):
     """Emit one `_b{start}` whole-block function; returns max forward dist."""
     ops = decoded[start:end]
     needs_check, needs_mem = _block_needs(ops, start)
@@ -261,10 +247,10 @@ def _emit_block(w, decoded, start, end):
     last_srcs = []
     for k, op in enumerate(ops):
         srcs = [
-            _read_source(w, state, op, k, slot, d, "block")
+            _read_source(w, state, op, k, slot, d)
             for slot, d in enumerate(op.srcs)
         ]
-        value, _ = _emit_value(w, state, op, k, srcs)
+        value = _emit_value(w, state, op, k, srcs)
         state.values[k] = value
         _emit_dest(w, k, value)
         state.counts[op.mnemonic] = state.counts.get(op.mnemonic, 0) + 1
@@ -293,85 +279,12 @@ def _emit_block(w, decoded, start, end):
     elif last.kind in (K_JUMP, K_CALL):
         w.line(f"it.pc_index = {last.target_index}")
     elif last.kind == K_RET:
-        w.line(f"it.pc_index = _iop({last_srcs[0]})")
+        w.line(f"it.pc_index = {index_of_pc_expr(last_srcs[0], text_base)}")
     else:  # HALT or plain fall-through
         w.line(f"it.pc_index = {end}")
     w.dedent()
     w.line()
     return state.max_forward
-
-
-def _emit_handler(w, op):
-    """Emit one `_h{index}` single-op handler (trace-capable)."""
-    i = op.index
-    pc = op.pc
-    kind = op.kind
-    state = _BlockState()
-    has_reads = any(d for d in op.srcs)
-    w.line(f"def _h{i}(it):")
-    w.indent()
-    w.line("seq = it.seq")
-    w.line("regs = it.regs")
-    w.line("ws = it.written_seq")
-    w.line("mrp = it.max_rp")
-    if has_reads:
-        w.line("chk = it.check_distances")
-        w.line("_dh = it.distance_hist")
-    if kind in _MEM_KINDS:
-        w.line("mem = it.memory")
-    srcs = [
-        _read_source(w, state, op, 0, slot, d, "handler")
-        for slot, d in enumerate(op.srcs)
-    ]
-    value, mem_addr = _emit_value(w, state, op, 0, srcs)
-    # Control resolution (handlers own their pc update and trace fields).
-    taken = "False"
-    target_pc = "None"
-    next_index = str(i + 1)
-    next_pc = str(pc + 4)
-    if kind in (K_BEZ, K_BNZ):
-        cond = _branch_condition(state, op, 0, srcs[0])
-        w.line(f"_t = {cond}")
-        taken = "_t"
-        target_pc = str(op.target_pc)
-        next_index = f"({op.target_index} if _t else {i + 1})"
-        next_pc = f"({op.target_pc} if _t else {pc + 4})"
-    elif kind in (K_JUMP, K_CALL):
-        taken = "True"
-        target_pc = str(op.target_pc)
-        next_index = str(op.target_index)
-        next_pc = str(op.target_pc)
-    elif kind == K_RET:
-        w.line(f"_ni = _iop({srcs[0]})")
-        taken = "True"
-        target_pc = str(srcs[0])
-        next_index = "_ni"
-        next_pc = "(_tb + _ni * 4)"
-    _emit_dest(w, 0, value)
-    mnemonic = op.mnemonic
-    w.line("_mc = it.mnemonic_counts")
-    w.line(f"_mc[{mnemonic!r}] = _mc.get({mnemonic!r}, 0) + 1")
-    w.line("if it.collect_trace:")
-    w.indent()
-    producers = []
-    for slot, d in enumerate(op.srcs):
-        producers.append(f"_p{slot}" if d else "None")
-    srcs_list = "[" + ", ".join(producers) + "]"
-    w.line("it.trace.append(_TE(")
-    w.indent()
-    w.line(f"pc={pc}, op_class={op.op_class!r}, mnemonic={mnemonic!r},")
-    w.line(f"dest=seq, srcs={srcs_list}, taken={taken},")
-    w.line(f"target_pc={target_pc}, next_pc={next_pc},")
-    w.line(f"mem_addr={mem_addr or 'None'},")
-    w.line(f"is_call={kind == K_CALL}, is_return={kind == K_RET},")
-    w.line(f"is_rmov={kind == K_RMOV}, is_spadd={kind == K_SPADD},")
-    w.line(f"src_distances={tuple(op.srcs)!r}, dest_value={value}))")
-    w.dedent()
-    w.dedent()
-    w.line("it.seq = seq + 1")
-    w.line(f"it.pc_index = {next_index}")
-    w.dedent()
-    w.line()
 
 
 def compile_program(program):
@@ -382,21 +295,18 @@ def compile_program(program):
     w = SourceWriter()
     min_mrp = 0
     for start, end in ranges:
-        min_mrp = max(min_mrp, _emit_block(w, decoded, start, end))
-    for op in decoded:
-        _emit_handler(w, op)
-    namespace = base_namespace(program)
+        min_mrp = max(
+            min_mrp, _emit_block(w, decoded, start, end, program.text_base)
+        )
+    namespace = base_namespace()
     compile_namespace(w.text(), namespace, f"straight:{program.text_base:#x}")
     block_funcs = [None] * n
     block_lens = [0] * n
     for start, end in ranges:
         block_funcs[start] = namespace[f"_b{start}"]
         block_lens[start] = end - start
-    handlers = [namespace[f"_h{op.index}"] for op in decoded]
     term_at = control_descriptors(
         decoded, lambda op: (op.kind == K_CALL, op.kind == K_RET)
     )
-    return CompiledProgram(
-        n, block_funcs, block_lens, handlers,
-        min_mrp=min_mrp, block_ranges=tuple(ranges), term_at=term_at,
-    )
+    return CompiledProgram(n, block_funcs, block_lens, min_mrp=min_mrp,
+                           term_at=term_at)

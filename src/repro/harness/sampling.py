@@ -244,8 +244,9 @@ class SampledRunner:
     One :class:`~repro.uarch.core.OoOCore` is reused for every window, so
     caches, branch predictor, BTB, RAS and the memory-dependence predictor
     stay warm across the fast-forwarded gaps; only the counter object is
-    swapped per window.  The functional interpreter is the compiled
-    fast path when enabled — fast-forwarding costs no trace memory at all.
+    swapped per window.  One interpreter serves both phases: compiled
+    blocks fast-forward the gaps (no trace memory at all), ``step_op``
+    collects each window's trace.
     """
 
     def __init__(self, binary, config, params=None):

@@ -68,7 +68,7 @@ class StraightInterpreter:
         collect_trace=False,
         check_distances=True,
         rob_entries=256,
-        compiled=None,
+        compiled=True,
     ):
         self.program = program
         #: Immutable pre-decoded instruction array, decoded once per linked
@@ -95,14 +95,14 @@ class StraightInterpreter:
         # source-distance distribution).
         self.mnemonic_counts = {}
         self.distance_hist = {}
-        #: Threaded-code fast path (None: baseline step_op loop).  The
-        #: ``compiled`` argument overrides the ``STRAIGHT_FASTPATH`` global
-        #: toggle per instance; the circular file must also be at least
-        #: ``min_mrp`` registers for the compiled intra-block forwarding to
-        #: be architecturally transparent.
+        #: Compiled blocks for trace-free runs (None: baseline step_op
+        #: loop).  Only an interpreter built trace-free compiles — a traced
+        #: run executes ``step_op`` — and ``compiled=False`` opts out.  The
+        #: circular file must also be at least ``min_mrp`` registers for
+        #: the compiled intra-block forwarding to be architecturally
+        #: transparent.
         self._fast = None
-        use_fast = fastpath.enabled() if compiled is None else compiled
-        if use_fast:
+        if compiled and not collect_trace:
             fast = fastpath.compiled_for(program, "straight")
             if self.max_rp >= fast.min_mrp:
                 self._fast = fast
@@ -151,7 +151,7 @@ class StraightInterpreter:
 
     def run(self, max_steps=10_000_000):
         """Run until HALT or ``max_steps``; returns a :class:`RunResult`."""
-        if self._fast is not None:
+        if self._fast is not None and not self.collect_trace:
             steps = fastpath.run_compiled(self, max_steps)
             return RunResult(
                 "halt" if self.halted else "limit", steps, self.output
@@ -174,39 +174,17 @@ class StraightInterpreter:
         ``instr`` must be the instruction at the current ``pc_index`` (the
         contract every caller already honours); the pre-decoded record for it
         is reused when it matches, so external steppers (lockstep golden,
-        fault campaigns) ride the same decode-once fast path as :meth:`run`.
+        fault campaigns) ride the same decode-once records as :meth:`run`.
         A non-matching ``instr`` (fault-injection campaigns mutate
-        instructions in place) falls back to a one-off decode + baseline
-        step, bypassing the compiled handlers, which are specialized to the
-        linked binary.
+        instructions in place) gets a one-off decode.
         """
         decoded = self.decoded
         index = self.pc_index
         if 0 <= index < len(decoded) and decoded[index].instr is instr:
-            if self._fast is not None:
-                self._fast.op_handlers[index](self)
-                return
             op = decoded[index]
         else:
             op = _decode_one(index, instr, self.program.text_base)
         self.step_op(op)
-
-    def step_current(self):
-        """Execute the instruction at the current ``pc_index``.
-
-        The single-step entry point used by the lockstep golden machine: it
-        goes through the compiled per-op handlers when the fast path is
-        active, so co-simulation guards the same generated code that
-        production runs execute.
-        """
-        index = self.pc_index
-        decoded = self.decoded
-        if not 0 <= index < len(decoded):
-            raise SimulationError(f"pc out of text segment: {self._pc():#x}")
-        if self._fast is not None:
-            self._fast.op_handlers[index](self)
-        else:
-            self.step_op(decoded[index])
 
     def step_op(self, op):
         """Execute one pre-decoded instruction (the hot path)."""

@@ -107,13 +107,8 @@ def cmd_run(args):
         payload["core"] = args.core
         print(json.dumps(payload, indent=2))
         return 0
-    compiled = None
-    if args.compiled:
-        compiled = True
-    elif args.no_compiled:
-        compiled = False
     result = run_functional(binary, max_steps=args.max_steps,
-                            compiled=compiled)
+                            compiled=not args.no_compiled)
     for word in result.output:
         print(word)
     print(f"# {result.run_result.steps} instructions retired", file=sys.stderr)
@@ -917,11 +912,9 @@ def build_parser():
     p_run = sub.add_parser("run", help="run on the functional simulator")
     add_common(p_run)
     p_run.add_argument("--max-steps", type=int, default=50_000_000)
-    p_run.add_argument("--compiled", action="store_true",
-                       help="force the threaded-code fast path on")
     p_run.add_argument("--no-compiled", action="store_true",
-                       help="force the baseline step loop (overrides "
-                            "STRAIGHT_FASTPATH)")
+                       help="run the baseline step loop instead of the "
+                            "compiled blocks")
     p_run.add_argument("--sampled", action="store_true",
                        help="sampled timing run (SMARTS-style): fast-forward "
                             "on the compiled interpreter between "

@@ -11,9 +11,15 @@ import pytest
 
 from repro import fastpath
 from repro import isa as isa_registry
-from repro.core.api import build, run_functional
-from repro.core.configs import ss_2way, straight_2way
-from repro.harness.sampling import SampledRunner, SamplingParams, _PredictorWarmer
+from repro.core.api import build, run_functional, simulate
+from repro.core.configs import bb_2way, ss_2way, straight_2way
+from repro.harness.cache import ArtifactCache
+from repro.harness.sampling import (
+    SampledRunner,
+    SamplingParams,
+    _PredictorWarmer,
+    simulate_sampled,
+)
 from repro.uarch.core import OoOCore
 
 #: Branchy program: calls, returns, loops, a divide (uncompiled fallback op),
@@ -120,18 +126,25 @@ class TestPlumbing:
             assert binary.interpreter(compiled=True)._fast is not None, label
             assert binary.interpreter(compiled=False)._fast is None, label
 
-    def test_env_kill_switch(self, binaries, monkeypatch):
-        monkeypatch.setenv("STRAIGHT_FASTPATH", "0")
-        assert not fastpath.enabled()
-        binary = binaries["STRAIGHT-RE+"]
-        assert binary.interpreter()._fast is None
-        # The per-instance override still wins over the environment.
-        assert binary.interpreter(compiled=True)._fast is not None
-
     def test_compile_is_memoized_per_program(self, binaries):
         for label, binary in binaries.items():
             first = fastpath.compiled_for(binary.program, binary.isa)
             assert fastpath.compiled_for(binary.program, binary.isa) is first
+
+    def test_compiled_build_round_trips_through_artifact_cache(
+            self, tmp_path):
+        # A trace-free run compiles every binary of the build; the memo
+        # must stay off the programs so the build still pickles.
+        built = build(SOURCE)
+        for binary in built.all().values():
+            assert run_functional(binary).interpreter._fast is not None
+        artifacts = ArtifactCache(str(tmp_path))
+        artifacts.put({"probe": "compiled-build"}, built)
+        restored = artifacts.get({"probe": "compiled-build"})
+        assert restored is not None
+        for label, binary in restored.all().items():
+            assert (run_functional(binary).output
+                    == run_functional(built.all()[label]).output), label
 
     def test_every_registered_isa_compiles(self, binaries):
         labels = {d.default_label for d in isa_registry.descriptors()}
@@ -190,3 +203,43 @@ class TestWarmingParity:
             assert steps == 1500
             states.append(_predictor_state(core))
         assert states[0] == states[1]
+
+
+class TestTracedRunsNeverCompile:
+    """Traced execution is ``step_op``; only trace-free runs compile."""
+
+    @pytest.fixture
+    def compile_calls(self, monkeypatch):
+        calls = []
+        original = fastpath.compiled_for
+
+        def counting(program, isa):
+            calls.append(isa)
+            return original(program, isa)
+
+        monkeypatch.setattr(fastpath, "compiled_for", counting)
+        return calls
+
+    def test_traced_simulate_makes_no_compile_call(self, compile_calls):
+        configs = {"SS": ss_2way, "STRAIGHT-RAW": straight_2way,
+                   "STRAIGHT-RE+": straight_2way, "BB": bb_2way}
+        for label, binary in build(SOURCE).all().items():
+            simulate(binary, configs[label]())
+            assert compile_calls == [], label
+
+    def test_lockstep_golden_makes_no_compile_call(self, compile_calls):
+        binary = build(SOURCE).straight_re
+        result = simulate(binary, straight_2way(), guardrails=True)
+        assert result.guardrail_report is not None
+        assert compile_calls == []
+
+    def test_sampled_windows_make_no_compile_call(self, compile_calls):
+        # One compile, for the trace-free fast-forward; the traced windows
+        # run on the same interpreter through step_op.
+        binary = build(SOURCE).straight_re
+        params = SamplingParams(period=600, window=200, warmup=100,
+                                cooldown=50)
+        result = simulate_sampled(binary, straight_2way(), params)
+        assert result.stats.sampling["mode"] != "full-fallback"
+        assert result.stats.sampling["windows"] >= params.min_windows
+        assert compile_calls == ["straight"]

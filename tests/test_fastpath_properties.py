@@ -76,8 +76,8 @@ def partial_run_binaries():
 @given(st.integers(min_value=1, max_value=4000))
 def test_partial_runs_stop_on_the_same_instruction(partial_run_binaries,
                                                    max_steps):
-    # Random cut points land mid-block; the compiled driver must fall back
-    # to per-op handlers and leave bit-identical state at the boundary.
+    # Random cut points land mid-block; the compiled driver must finish
+    # the block through step_op and leave bit-identical state there.
     for label, binary in partial_run_binaries.items():
         base = binary.interpreter(compiled=False)
         fast = binary.interpreter(compiled=True)

@@ -85,8 +85,8 @@ class TestRun:
 
     def test_run_compiled_flags_agree(self, demo_file, capsys):
         outputs = set()
-        for flag in ("--compiled", "--no-compiled"):
-            code, out, _ = run_cli(["run", demo_file, flag], capsys)
+        for flags in ([], ["--no-compiled"]):
+            code, out, _ = run_cli(["run", demo_file, *flags], capsys)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
